@@ -1,12 +1,15 @@
 //! §6.2's storage story, end to end: log memory is freed when checkpoints
 //! commit (entries move to the stable archive), recovery replays from the
-//! archive transparently, and committed checkpoints can be mirrored to disk.
+//! archive transparently, and committed checkpoints can be kept on disk in
+//! the shared global tier.
 
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
+use mini_mpi::wire::from_bytes;
 use spbc_apps::{AppParams, Workload};
-use spbc_core::disk::DiskStore;
+use spbc_core::store::CheckpointData;
 use spbc_core::{ClusterMap, SpbcConfig, SpbcProvider, Storage};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,19 +78,38 @@ fn freeing_actually_releases_node_memory() {
     );
 }
 
+/// On-disk storage whose every wave drains to the shared global directory
+/// (`root/shared/global`) — the copy that outlives the node.
+fn durable_provider(dir: &Path, ckpt_interval: u64) -> Arc<SpbcProvider> {
+    let _ = std::fs::remove_dir_all(dir);
+    let cfg =
+        SpbcConfig { ckpt_interval, tier_policy: "mem:0,global:all".into(), ..Default::default() };
+    Arc::new(
+        SpbcProvider::new(ClusterMap::blocks(WORLD, 4), cfg)
+            .with_storage(Storage::disk_root(dir))
+            .unwrap(),
+    )
+}
+
+/// Every rank's checkpoint at `epoch` is a file under the global tier and
+/// decodes to a non-empty application state.
+fn assert_durable_wave(provider: &SpbcProvider, dir: &Path, epoch: u64) {
+    let svc = provider.ckptstore();
+    for r in 0..WORLD as u32 {
+        let file = dir.join("shared").join("global").join(format!("rank-{r}.epoch-{epoch}.ckpt"));
+        assert!(file.exists(), "rank {r}: {} missing", file.display());
+        let (body, _) = svc.load(RankId(r), epoch).unwrap().unwrap();
+        let ck: CheckpointData = from_bytes(&body).unwrap();
+        assert_eq!(ck.ckpt_epoch, epoch);
+        assert!(!ck.app_state.is_empty(), "rank {r}");
+    }
+}
+
 #[test]
 fn checkpoints_are_mirrored_to_disk() {
     let dir = std::env::temp_dir().join(format!("spbc-disk-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::Cm1;
-    let provider = Arc::new(
-        SpbcProvider::new(
-            ClusterMap::blocks(WORLD, 4),
-            SpbcConfig { ckpt_interval: 4, ..Default::default() },
-        )
-        .with_storage(Storage::memory().mirror_to(DiskStore::open(&dir).unwrap()))
-        .unwrap(),
-    );
+    let provider = durable_provider(&dir, 4);
     Runtime::builder(cfg())
         .provider(provider.clone())
         .app(w.build(params()))
@@ -95,34 +117,19 @@ fn checkpoints_are_mirrored_to_disk() {
         .unwrap()
         .ok()
         .unwrap();
-    // 9 iterations, wave at calls 4 and 8: two epochs per rank on disk.
-    let disk = provider.disk().unwrap();
-    for r in 0..WORLD as u32 {
-        let epochs = disk.epochs_of(RankId(r)).unwrap();
-        assert_eq!(epochs, vec![1, 2], "rank {r}");
-        let ck = disk.load(RankId(r), 2).unwrap().unwrap();
-        assert!(!ck.app_state.is_empty());
-    }
-    // The durable wave agreement matches the in-memory one.
+    // 9 iterations, waves at calls 4 and 8: every rank reaches wave 2.
     let ranks: Vec<RankId> = (0..WORLD as u32).map(RankId).collect();
-    assert_eq!(disk.common_epoch(&ranks).unwrap(), 2);
+    assert_eq!(provider.ckptstore().common_epoch(&ranks).unwrap(), 2);
+    assert_durable_wave(&provider, &dir, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn disk_mirror_with_recovery_keeps_the_common_wave_consistent() {
     let dir = std::env::temp_dir().join(format!("spbc-disk-rec-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::MiniGhost;
     let base = native(w);
-    let provider = Arc::new(
-        SpbcProvider::new(
-            ClusterMap::blocks(WORLD, 4),
-            SpbcConfig { ckpt_interval: 3, ..Default::default() },
-        )
-        .with_storage(Storage::memory().mirror_to(DiskStore::open(&dir).unwrap()))
-        .unwrap(),
-    );
+    let provider = durable_provider(&dir, 3);
     let report = Runtime::builder(cfg())
         .provider(provider.clone())
         .app(w.build(params()))
@@ -132,10 +139,11 @@ fn disk_mirror_with_recovery_keeps_the_common_wave_consistent() {
         .ok()
         .unwrap();
     assert_eq!(base.outputs, report.outputs);
-    let disk = provider.disk().unwrap();
     let ranks: Vec<RankId> = (0..WORLD as u32).map(RankId).collect();
     // All three waves (iterations 3, 6, 9) committed everywhere despite the
-    // mid-run rollback of cluster {4,5}.
-    assert_eq!(disk.common_epoch(&ranks).unwrap(), 3);
+    // mid-run rollback of cluster {4,5}. Service GC keeps the last two, so
+    // the newest common wave is what is checked.
+    assert_eq!(provider.ckptstore().common_epoch(&ranks).unwrap(), 3);
+    assert_durable_wave(&provider, &dir, 3);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -164,8 +164,8 @@ fn flight_recorder(c: &mut Criterion) {
 }
 
 /// Commit-barrier cost of checkpoint storage: what a rank *waits on* per
-/// wave. `sync_fsync` is the pre-ckptstore path — seal + write + fsync,
-/// all on the barrier. `async_commit` is the double-buffered path's barrier
+/// wave. `sync_fsync` is the store with `async_writes` off — seal, write
+/// and fsync, all on the barrier. `async_commit` is the double-buffered path's barrier
 /// share — seal + enqueue on the background writer; the fsync happens on
 /// the writer thread, overlapped with the next compute phase. `async_flush`
 /// adds the next wave's flush with *no* compute in between — the degenerate
@@ -173,7 +173,6 @@ fn flight_recorder(c: &mut Criterion) {
 fn ckptstore(c: &mut Criterion) {
     use mini_mpi::types::RankId;
     use spbc_ckptstore::{CkptStoreService, StoreConfig};
-    use spbc_core::disk::DiskStore;
     use spbc_core::store::CheckpointData;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -189,8 +188,13 @@ fn ckptstore(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
 
         g.bench_with_input(BenchmarkId::new("sync_fsync", size), &size, |b, _| {
-            let disk = DiskStore::open(tmpdir(&format!("sync-{size}"))).unwrap();
-            b.iter(|| disk.save(RankId(0), &ck).unwrap())
+            let svc = CkptStoreService::on_disk(
+                tmpdir(&format!("sync-{size}")),
+                1,
+                StoreConfig { async_writes: false, ..StoreConfig::default() },
+            )
+            .unwrap();
+            b.iter(|| svc.commit_local(RankId(0), 1, ck.to_blob(), None).unwrap());
         });
 
         g.bench_with_input(BenchmarkId::new("async_commit", size), &size, |b, _| {

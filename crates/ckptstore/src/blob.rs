@@ -1,16 +1,14 @@
 //! Checkpoint blob framing: `SPBCCKP2` = magic + CRC32 over the body.
 //!
-//! The V1 format (`SPBCCKP1`, magic + body, header-only validation) is still
-//! readable so checkpoints written by older builds load after an upgrade; a
-//! V1 blob simply has no checksum to verify. Full blobs written by this
-//! crate are V2; incremental delta blobs use the `SPBCCKP3` framing in
-//! [`crate::chunk`].
+//! Full blobs written by this crate are V2; incremental delta blobs use the
+//! `SPBCCKP3` framing and content-addressed manifests the `SPBCCKP4` framing
+//! in [`crate::chunk`]. Every readable framing carries a checksum: the
+//! unchecksummed `SPBCCKP1` format of early builds is rejected like any
+//! unknown version, so a torn file can never pass as a valid checkpoint.
 
 use crate::crc::crc32;
 use mini_mpi::error::{MpiError, Result};
 
-/// Legacy format: magic then raw wire-encoded body, no checksum.
-pub const MAGIC_V1: &[u8; 8] = b"SPBCCKP1";
 /// Current format: magic, little-endian CRC32 of the body, then the body.
 pub const MAGIC_V2: &[u8; 8] = b"SPBCCKP2";
 
@@ -27,7 +25,7 @@ pub fn seal(body: &[u8]) -> Vec<u8> {
 /// variant has already passed that version's structural + checksum
 /// verification.
 pub enum Unsealed<'a> {
-    /// V1/V2 full blob: the verified body bytes.
+    /// V2 full blob: the verified body bytes.
     Full(&'a [u8]),
     /// V3 fixed-grid delta: needs [`crate::chunk::materialize`] with
     /// epoch-addressed base fetches.
@@ -54,7 +52,7 @@ impl std::fmt::Debug for Unsealed<'_> {
 }
 
 /// The single version dispatcher: route a sealed blob of **any** known
-/// version (V1 header-only, V2 checksum, V3 delta, V4 content-addressed)
+/// version (V2 checksum, V3 delta, V4 content-addressed, parity)
 /// through its verifier, or fail with one loud unknown-version error.
 ///
 /// Every read path funnels through here, so a blob from a newer build that
@@ -84,20 +82,16 @@ pub fn unseal_any(bytes: &[u8]) -> Result<Unsealed<'_>> {
         }
         return Ok(Unsealed::Full(body));
     }
-    if bytes.len() >= MAGIC_V1.len() && &bytes[..MAGIC_V1.len()] == MAGIC_V1 {
-        return Ok(Unsealed::Full(&bytes[MAGIC_V1.len()..]));
-    }
     Err(MpiError::Codec(format!(
         "unknown checkpoint blob version (first bytes {:02x?}); \
-         this build reads SPBCCKP1-SPBCCKP4 and SPBCPAR1",
+         this build reads SPBCCKP2-SPBCCKP4 and SPBCPAR1",
         &bytes[..bytes.len().min(8)]
     )))
 }
 
 /// Validate a sealed blob and return its body.
 ///
-/// Accepts V2 (checksum verified) and legacy V1 (no checksum to verify).
-/// Any framing or checksum failure is a `Codec` error — callers treat it as
+/// Accepts V2 (checksum verified). Any framing or checksum failure is a `Codec` error — callers treat it as
 /// a corrupt copy and fall back to a partner replica. V3 delta and V4
 /// content-addressed blobs are *not* body containers — they need chain or
 /// store materialization — so they are rejected here with a distinct error
@@ -156,10 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_is_readable() {
-        let mut v1 = MAGIC_V1.to_vec();
-        v1.extend_from_slice(b"old body");
-        assert_eq!(unseal(&v1).unwrap(), b"old body");
+    fn unchecksummed_v1_is_rejected() {
+        let err = format!("{}", unseal(b"SPBCCKP1old body").unwrap_err());
+        assert!(err.contains("unknown checkpoint blob version"), "{err}");
     }
 
     #[test]
@@ -172,11 +165,6 @@ mod tests {
     fn unseal_any_routes_every_version() {
         use crate::cas::ChunkHash;
         use crate::chunk::{DeltaEncoder, V4Chunk};
-
-        // V1: header-only legacy.
-        let mut v1 = MAGIC_V1.to_vec();
-        v1.extend_from_slice(b"v1 body");
-        assert!(matches!(unseal_any(&v1).unwrap(), Unsealed::Full(b"v1 body")));
 
         // V2: sealed full blob.
         let sealed = seal(b"v2 body");
@@ -233,17 +221,15 @@ mod tests {
         assert!(format!("{}", unseal(&par).unwrap_err()).contains("SPBCPAR1"));
     }
 
-    /// Satellite: truncated and corrupted headers of every framing this
-    /// build knows (V1, V2, V3, V4, parity) fail loudly through
-    /// `unseal_any` — the right error kind, never a panic, and corrupt
-    /// checksummed framings never misroute to a different version.
+    /// Truncated and corrupted headers of every framing this build knows
+    /// (V2, V3, V4, parity) fail loudly through `unseal_any` — the right
+    /// error kind, never a panic, and corrupt framings never misroute to a
+    /// different version.
     #[test]
     fn unseal_any_rejects_damage_in_every_framing() {
         use crate::cas::ChunkHash;
         use crate::chunk::{DeltaEncoder, V4Chunk};
 
-        let mut v1 = MAGIC_V1.to_vec();
-        v1.extend_from_slice(b"v1 body bytes");
         let v2 = seal(b"v2 body bytes");
         let mut enc = DeltaEncoder::new(4, 8);
         let base: Vec<u8> = (0u8..64).collect();
@@ -259,40 +245,30 @@ mod tests {
         }]);
         let par = crate::ec::seal_parity(1, 0, 2, 9, &[(0, 8), (1, 8)], b"parity!!");
 
-        // (name, sealed bytes, does the framing carry a checksum?)
-        let cases: [(&str, &[u8], bool); 5] = [
-            ("V1", &v1, false),
-            ("V2", &v2, true),
-            ("V3", &v3, true),
-            ("V4", &v4, true),
-            ("parity", &par, true),
-        ];
-        for (name, sealed, checksummed) in cases {
+        let cases: [(&str, &[u8]); 4] = [("V2", &v2), ("V3", &v3), ("V4", &v4), ("parity", &par)];
+        for (name, sealed) in cases {
             // Sanity: the intact blob parses.
             assert!(unseal_any(sealed).is_ok(), "{name}: intact blob rejected");
-            // Truncation at every prefix either still parses (V1 has no
-            // integrity data beyond the magic) or errs — never panics.
+            // Truncation at every prefix errs — never panics.
             for len in 0..sealed.len() {
-                let r = unseal_any(&sealed[..len]);
-                if checksummed {
-                    assert!(r.is_err(), "{name}: truncation to {len} bytes accepted");
-                }
+                assert!(
+                    unseal_any(&sealed[..len]).is_err(),
+                    "{name}: truncation to {len} accepted"
+                );
             }
             // Header corruption: flip a bit in each of the first 12 bytes.
             for i in 0..12.min(sealed.len()) {
                 let mut bad = sealed.to_vec();
                 bad[i] ^= 0x04;
-                let r = unseal_any(&bad);
-                if checksummed {
-                    let err = format!("{}", r.expect_err(&format!("{name}: flip at {i}")));
-                    assert!(
-                        err.contains("checksum")
-                            || err.contains("truncated")
-                            || err.contains("unknown checkpoint blob version")
-                            || err.contains("mismatch"),
-                        "{name}: flip at {i} gave unexpected error: {err}"
-                    );
-                }
+                let err =
+                    format!("{}", unseal_any(&bad).expect_err(&format!("{name}: flip at {i}")));
+                assert!(
+                    err.contains("checksum")
+                        || err.contains("truncated")
+                        || err.contains("unknown checkpoint blob version")
+                        || err.contains("mismatch"),
+                    "{name}: flip at {i} gave unexpected error: {err}"
+                );
             }
         }
     }

@@ -9,7 +9,7 @@
 //! storage service has no dependency on the protocol crate and could back any
 //! fault-tolerance layer built on `mini-mpi`.
 //!
-//! The subsystem provides four guarantees (DESIGN.md §8):
+//! The subsystem provides nine guarantees (DESIGN.md §8):
 //!
 //! * **Integrity** — every stored blob is framed with a magic + CRC32 header
 //!   ([`blob`]); a bit-flip anywhere in the body is detected on load.
@@ -70,7 +70,7 @@ pub mod tier;
 pub mod writer;
 
 pub use backend::{BatchItem, BatchStats, CheckpointBackend, DirBackend, MemBackend, PutStats};
-pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V1, MAGIC_V2};
+pub use blob::{seal, unseal, unseal_any, Unsealed, MAGIC_V2};
 pub use cas::{CasStore, ChunkFate, ChunkHash};
 pub use cdc::{chunk_spans, CdcParams};
 pub use chunk::{seal_v4, CasView, DeltaEncoder, DeltaView, EncodeStats, MAGIC_V3, MAGIC_V4};

@@ -285,7 +285,10 @@ impl CkptStoreService {
                     shared,
                 });
             }
-            let local: Arc<dyn CheckpointBackend> = if levels.len() == 1 {
+            // A lone shared level stays wrapped: the stack's `clear` skips
+            // shared levels, so one rank's node loss cannot wipe the
+            // global copies of every rank.
+            let local: Arc<dyn CheckpointBackend> = if levels.len() == 1 && !levels[0].shared {
                 levels.pop().map(|l| l.backend).unwrap()
             } else {
                 Arc::new(TierStack::new(levels))
@@ -1701,6 +1704,20 @@ mod tests {
         assert_eq!(body, b"one");
         // Epoch 2 was only in the wiped memory level: gone.
         assert!(svc.load(RankId(0), 2).unwrap().is_none());
+    }
+
+    #[test]
+    fn wipe_of_a_global_only_policy_spares_other_ranks() {
+        let root = tmpdir("wipe-global-only");
+        let cfg = StoreConfig { tier_policy: "global:all".to_string(), ..Default::default() };
+        let svc = CkptStoreService::on_disk(&root, 2, cfg).unwrap();
+        commit_sync(&svc, RankId(0), 1, b"zero");
+        commit_sync(&svc, RankId(1), 1, b"one");
+        svc.wipe_local(RankId(0)).unwrap();
+        let (body, _) = svc.load(RankId(1), 1).unwrap().unwrap();
+        assert_eq!(body, b"one");
+        let (body, _) = svc.load(RankId(0), 1).unwrap().unwrap();
+        assert_eq!(body, b"zero");
     }
 
     #[test]

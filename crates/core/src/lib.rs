@@ -28,7 +28,6 @@
 
 pub mod cluster;
 pub mod ctrl;
-pub mod disk;
 pub mod env;
 pub mod hist;
 pub mod log;

@@ -1,9 +1,13 @@
-//! Per-rank persistent protocol state: the sender-side log ("node memory")
-//! and the latest committed checkpoint ("stable storage").
+//! Per-rank state that outlives a restart: the sender-side log ("node
+//! memory"), plus [`CheckpointData`], the record a committed checkpoint
+//! holds.
 //!
-//! This state intentionally lives *outside* the `FtLayer` instance: layers
-//! are recreated on every restart, while logs and checkpoints survive — just
-//! like node memory and the PFS survive a process crash in the real system.
+//! The logs intentionally live *outside* the `FtLayer` instance: layers are
+//! recreated on every restart, while a sender's log survives the receiver's
+//! crash — just like node memory survives a remote failure in the real
+//! system. Committed checkpoints live only in the checkpoint-storage service
+//! ([`spbc_ckptstore::CkptStoreService`]) as sealed blobs; a restart reads
+//! them from there and nowhere else.
 
 use crate::log::MessageLog;
 use mini_mpi::envelope::Message;
@@ -62,8 +66,7 @@ impl CheckpointData {
         spbc_ckptstore::seal(&mini_mpi::wire::to_bytes(self))
     }
 
-    /// Parse a sealed storage blob (V2 checksum-verified; legacy `SPBCCKP1`
-    /// accepted for read-compat).
+    /// Parse a sealed `SPBCCKP2` storage blob (checksum-verified).
     pub fn from_blob(bytes: &[u8]) -> Result<Self> {
         mini_mpi::wire::from_bytes(spbc_ckptstore::unseal(bytes)?)
     }
@@ -107,43 +110,9 @@ impl Decode for CheckpointData {
     }
 }
 
-/// Mutable persistent state of one rank.
-#[derive(Default)]
-pub struct PersistentState {
-    /// The sender-side message log.
-    pub log: MessageLog,
-    /// Committed checkpoints, oldest first. The last **two** are kept: a
-    /// crash can interrupt a commit wave after some members stored epoch
-    /// `N+1` but before others did; restart then agrees on the newest epoch
-    /// *every* member holds, which is at worst `N`.
-    pub checkpoints: Vec<CheckpointData>,
-}
-
-impl PersistentState {
-    /// Epoch of the newest stored checkpoint (0 = none).
-    pub fn latest_epoch(&self) -> u64 {
-        self.checkpoints.last().map_or(0, |c| c.ckpt_epoch)
-    }
-
-    /// Store a committed checkpoint, keeping at most the last two.
-    pub fn push_checkpoint(&mut self, ck: CheckpointData) {
-        self.checkpoints.push(ck);
-        if self.checkpoints.len() > 2 {
-            self.checkpoints.remove(0);
-        }
-    }
-
-    /// The checkpoint with exactly `epoch`, discarding any newer ones
-    /// (restart converged on an older wave — newer partial waves are void).
-    pub fn restore_epoch(&mut self, epoch: u64) -> Option<CheckpointData> {
-        self.checkpoints.retain(|c| c.ckpt_epoch <= epoch);
-        self.checkpoints.iter().find(|c| c.ckpt_epoch == epoch).cloned()
-    }
-}
-
-/// Shared store of every rank's persistent state.
+/// Shared store of every rank's sender-side log.
 pub struct SharedStore {
-    slots: Vec<Arc<Mutex<PersistentState>>>,
+    slots: Vec<Arc<Mutex<MessageLog>>>,
 }
 
 impl SharedStore {
@@ -153,7 +122,7 @@ impl SharedStore {
     }
 
     /// The slot of `rank` (cheap clone of the `Arc`).
-    pub fn slot(&self, rank: RankId) -> Arc<Mutex<PersistentState>> {
+    pub fn slot(&self, rank: RankId) -> Arc<Mutex<MessageLog>> {
         Arc::clone(&self.slots[rank.idx()])
     }
 
@@ -169,23 +138,12 @@ impl SharedStore {
 
     /// Total bytes currently logged across all ranks (Table 1's metric).
     pub fn total_logged_bytes(&self) -> u64 {
-        self.slots.iter().map(|s| s.lock().log.total_bytes()).sum()
+        self.slots.iter().map(|s| s.lock().total_bytes()).sum()
     }
 
     /// Logged bytes per rank.
     pub fn logged_bytes_per_rank(&self) -> Vec<u64> {
-        self.slots.iter().map(|s| s.lock().log.total_bytes()).collect()
-    }
-
-    /// Number of ranks holding a committed checkpoint.
-    pub fn checkpointed_ranks(&self) -> usize {
-        self.slots.iter().filter(|s| !s.lock().checkpoints.is_empty()).count()
-    }
-
-    /// The newest checkpoint epoch that *every* listed rank holds (0 when
-    /// any of them has none) — the wave a cluster restarts from.
-    pub fn common_epoch(&self, ranks: &[RankId]) -> u64 {
-        ranks.iter().map(|&r| self.slots[r.idx()].lock().latest_epoch()).min().unwrap_or(0)
+        self.slots.iter().map(|s| s.lock().total_bytes()).collect()
     }
 }
 
@@ -226,45 +184,10 @@ mod tests {
     fn store_slots_are_shared() {
         let store = SharedStore::new(2);
         let a = store.slot(RankId(0));
-        a.lock().log.append(make_msg(0, 1, 1, b"xyz"));
+        a.lock().append(make_msg(0, 1, 1, b"xyz"));
         assert_eq!(store.total_logged_bytes(), 3);
         assert_eq!(store.logged_bytes_per_rank(), vec![3, 0]);
-        assert_eq!(store.checkpointed_ranks(), 0);
-        a.lock().push_checkpoint(CheckpointData { ckpt_epoch: 1, ..Default::default() });
-        assert_eq!(store.checkpointed_ranks(), 1);
-        assert_eq!(store.common_epoch(&[RankId(0), RankId(1)]), 0);
-        store
-            .slot(RankId(1))
-            .lock()
-            .push_checkpoint(CheckpointData { ckpt_epoch: 2, ..Default::default() });
-        assert_eq!(store.common_epoch(&[RankId(0), RankId(1)]), 1);
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod history_tests {
-    use super::*;
-
-    #[test]
-    fn history_keeps_last_two() {
-        let mut p = PersistentState::default();
-        for e in 1..=4 {
-            p.push_checkpoint(CheckpointData { ckpt_epoch: e, ..Default::default() });
-        }
-        assert_eq!(p.checkpoints.len(), 2);
-        assert_eq!(p.latest_epoch(), 4);
-    }
-
-    #[test]
-    fn restore_epoch_discards_newer_waves() {
-        let mut p = PersistentState::default();
-        p.push_checkpoint(CheckpointData { ckpt_epoch: 3, ..Default::default() });
-        p.push_checkpoint(CheckpointData { ckpt_epoch: 4, ..Default::default() });
-        let got = p.restore_epoch(3).unwrap();
-        assert_eq!(got.ckpt_epoch, 3);
-        assert_eq!(p.latest_epoch(), 3, "partial wave 4 voided");
-        assert!(p.restore_epoch(9).is_none());
     }
 }

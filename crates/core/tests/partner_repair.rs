@@ -6,6 +6,7 @@
 
 use mini_mpi::failure::FailurePlan;
 use mini_mpi::prelude::*;
+use mini_mpi::recorder::Event;
 use mini_mpi::wire::to_bytes;
 use spbc_core::{ClusterMap, Metrics, SpbcConfig, SpbcProvider, Storage};
 use std::fs;
@@ -165,4 +166,50 @@ fn replication_disabled_still_recovers_from_intact_storage() {
     assert_eq!(Metrics::get(&m.repl_pushes), 0);
     assert_eq!(Metrics::get(&m.repl_acks), 0);
     assert_eq!(Metrics::get(&m.ckpt_repairs), 0);
+}
+
+#[test]
+fn node_loss_without_replicas_restarts_from_scratch() {
+    // Single-copy in-memory storage (k = 0, EC off) under node-loss
+    // semantics: the victim's crash destroys the only copy of every wave
+    // it committed, so no wave is reachable and its cluster must restart
+    // from the initial state. A decoded copy kept in process memory would
+    // hide that loss; the storage service is the only source a restart
+    // may read.
+    let native = run_native();
+    let cfg = SpbcConfig {
+        ckpt_interval: 3,
+        replicas: 0,
+        lose_local_on_failure: true,
+        ec_scheme: "off".into(),
+        ..Default::default()
+    };
+    let provider = SpbcProvider::new(ClusterMap::blocks(WORLD, 4), cfg);
+    let noop: Hook = Arc::new(|_, _| {});
+    let spbc = Runtime::builder(
+        RuntimeConfig::new(WORLD)
+            .with_deadlock_timeout(Duration::from_secs(10))
+            .with_flight_recorder(1 << 14),
+    )
+    .provider(Arc::new(provider))
+    .app(Arc::new(ring_app(ITERS, noop)))
+    .plans(vec![FailurePlan::nth(RankId(VICTIM), SABOTAGE_AT + 1)])
+    .launch()
+    .unwrap()
+    .ok()
+    .unwrap();
+
+    assert_eq!(native.outputs, spbc.outputs, "restart from scratch must match bitwise");
+    assert_eq!(spbc.failures_handled, 1);
+    let flight = spbc.flight.expect("flight recorder on");
+    let restored: Vec<u64> = flight
+        .iter()
+        .filter(|t| t.rank == VICTIM)
+        .flat_map(|t| &t.events)
+        .filter_map(|e| match e.event {
+            Event::Rollback { restored_ckpt, .. } => Some(restored_ckpt),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(restored, vec![0], "storage holds no copy of any wave");
 }

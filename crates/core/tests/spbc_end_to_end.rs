@@ -103,7 +103,10 @@ fn checkpoints_commit_on_schedule() {
     let m = provider.metrics();
     // 12 iterations / interval 4 = 3 checkpoint waves × 8 members.
     assert_eq!(spbc_core::Metrics::get(&m.checkpoints), 3 * 8);
-    assert_eq!(provider.store().checkpointed_ranks(), 8);
+    let svc = provider.ckptstore();
+    for r in 0..8 {
+        assert!(!svc.available_epochs(RankId(r)).unwrap().is_empty(), "rank {r} holds no wave");
+    }
 }
 
 #[test]

@@ -58,9 +58,12 @@ fn profile_cluster_recover_workflow() {
     assert!(Metrics::get(&m.logged_msgs) > 0);
     assert!(Metrics::get(&m.replayed_msgs) > 0);
     assert_eq!(Metrics::get(&m.coordinator_grants), 0);
-    // The store still holds logs and checkpoints after the run.
+    // Logs and checkpoints are still held after the run.
     assert!(provider.store().total_logged_bytes() > 0);
-    assert_eq!(provider.store().checkpointed_ranks(), WORLD);
+    let svc = provider.ckptstore();
+    for r in 0..WORLD as u32 {
+        assert!(!svc.available_epochs(RankId(r)).unwrap().is_empty(), "rank {r} holds no wave");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property tests of the checkpoint-storage subsystem: every
 //! `CheckpointData` survives the seal → store → load → unseal pipeline
 //! bit-exactly, corruption anywhere in a sealed blob is detected, and
-//! legacy unchecksummed blobs stay readable.
+//! legacy unchecksummed blobs are refused.
 
 use mini_mpi::types::RankId;
 use proptest::prelude::*;
@@ -80,11 +80,12 @@ proptest! {
     }
 
     #[test]
-    fn legacy_v1_blobs_stay_readable(payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let wire = to_bytes(&payload);
+    fn legacy_v1_blobs_are_rejected(payload in proptest::collection::vec(any::<u8>(), 0..512)) {
+        // `SPBCCKP1` had no checksum, so nothing distinguishes a real body
+        // from a torn write behind that magic: the reader refuses it.
         let mut v1 = b"SPBCCKP1".to_vec();
-        v1.extend_from_slice(&wire);
-        prop_assert_eq!(unseal(&v1).unwrap(), &wire[..]);
+        v1.extend_from_slice(&to_bytes(&payload));
+        prop_assert!(unseal(&v1).is_err());
     }
 
     #[test]

@@ -32,17 +32,26 @@
 //!   owner, epoch)` key again (a restarted rank re-walking its waves)
 //!   increfs the new manifest first and only then decrefs the old one, so
 //!   shared chunks never transit through refcount zero.
-//! * **Failed commits roll back.** Validation is interleaved with the
-//!   incref walk; on a mismatch every reference the walk took is released
-//!   (removing chunks it inserted), leaving the store as it was.
+//! * **Failed commits roll back.** Bytes reach the incref walk only as
+//!   [`HashedChunk`]s, already hashed or verified against their claimed
+//!   address, so a hash mismatch is rejected before the store is touched.
+//!   The walk itself byte-compares every hash hit and requires stored
+//!   content for every bytes-less address; on a failure every reference
+//!   the walk took is released (removing chunks it inserted), leaving the
+//!   store as it was.
 //!
 //! The ledger — not blob parsing — drives GC, because the async writer may
 //! coalesce away a blob that was never durably stored while its chunks are
 //! still referenced by the in-memory manifest of a later epoch.
 //!
-//! SHA-256 is hand-rolled (FIPS 180-4) because this workspace vendors no
-//! cryptographic dependency; the store additionally byte-confirms every
-//! hash hit, so even a collision cannot silently substitute chunk bodies.
+//! SHA-256 (FIPS 180-4) is written here because this workspace vendors no
+//! cryptographic dependency. The CPU picks the compressor at run time: on
+//! x86_64 with the SHA extensions (plus SSSE3 and SSE4.1) every whole block
+//! runs on `sha256rnds2`/`sha256msg1`/`sha256msg2`, elsewhere on the portable
+//! compressor, which also serves as the test reference. The invariant the
+//! commit paths keep: every chunk enters the store after exactly one SHA-256
+//! over those bytes, and every hash hit is byte-confirmed against the stored
+//! content, so even a collision cannot silently substitute chunk bodies.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,6 +72,13 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Initial hash value H(0) (FIPS 180-4 §5.3.3).
+const SHA256_IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// Portable compression of one 64-byte block: the fallback on CPUs without
+/// SHA instructions and the reference the hardware path is tested against.
 fn sha256_compress(state: &mut [u32; 8], block: &[u8]) {
     debug_assert_eq!(block.len(), 64);
     let mut w = [0u32; 64];
@@ -106,32 +122,140 @@ fn sha256_compress(state: &mut [u32; 8], block: &[u8]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// Compress every whole 64-byte block of `blocks` into `state` with the
+/// portable compressor.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        sha256_compress(state, block);
+    }
+}
+
+/// Compress every whole 64-byte block of `blocks` into `state`, on the
+/// CPU's SHA-256 instructions when it has them.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `shani::detected` just confirmed that the CPU supports
+        // every feature `shani::compress_blocks` is compiled for.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
 /// SHA-256 digest of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        sha256_compress(&mut state, block);
-    }
+    sha256_with(data, compress_blocks)
+}
+
+/// SHA-256 of `data` with `compress` applied to the whole message blocks
+/// and then to the padded tail.
+fn sha256_with(data: &[u8], mut compress: impl FnMut(&mut [u32; 8], &[u8])) -> [u8; 32] {
+    let mut state = SHA256_IV;
+    let whole = data.len() - data.len() % 64;
+    compress(&mut state, &data[..whole]);
     // Padding: 0x80, zeros, then the bit length as a big-endian u64.
-    let rem = blocks.remainder();
+    let rem = &data[whole..];
     let mut tail = [0u8; 128];
     tail[..rem.len()].copy_from_slice(rem);
     tail[rem.len()] = 0x80;
     let tail_len = if rem.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        sha256_compress(&mut state, block);
-    }
+    compress(&mut state, &tail[..tail_len]);
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// SHA-256 block compression on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::SHA256_K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every extension [`compress_blocks`] is compiled
+    /// for (SSE2 is part of the x86_64 baseline). The macro caches its
+    /// probe, so repeat calls cost a load and a branch.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compress every whole 64-byte block of `blocks` into `state`.
+    ///
+    /// Calling it is `unsafe` unless the caller is compiled for the same
+    /// features: the CPU must support them, which [`detected`] checks.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 bytes, so the unaligned 16-byte loads at
+        // offsets 0 and 16 stay in bounds.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        // `sha256rnds2` keeps the state as the register pair ABEF / CDGH.
+        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+        for block in blocks.chunks_exact(64) {
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is exactly 64 bytes, so the four unaligned
+            // 16-byte loads stay in bounds.
+            let [mut w0, mut w1, mut w2, mut w3] = unsafe {
+                [
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), bswap),
+                ]
+            };
+            let (abef0, cdgh0) = (abef, cdgh);
+            // Sixteen groups of four rounds. `w0..w3` hold the last sixteen
+            // message words, oldest group first; from group 4 on, the
+            // oldest is replaced by the next four scheduled words.
+            for i in 0..16 {
+                if i >= 4 {
+                    w0 = schedule(w0, w1, w2, w3);
+                }
+                let k = &SHA256_K[4 * i..4 * i + 4];
+                let wk = _mm_add_epi32(
+                    w0,
+                    _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+                (w0, w1, w2, w3) = (w1, w2, w3, w0);
+            }
+            abef = _mm_add_epi32(abef, abef0);
+            cdgh = _mm_add_epi32(cdgh, cdgh0);
+        }
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        // SAFETY: as for the loads above, both 16-byte stores fall inside
+        // the 32 bytes of `state`.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgfe);
+        }
+    }
+
+    /// Message schedule: the next four words from the previous sixteen.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,6 +270,60 @@ impl ChunkHash {
     /// Hash chunk bytes into their content address.
     pub fn of(bytes: &[u8]) -> Self {
         ChunkHash(sha256(bytes))
+    }
+}
+
+/// Chunk bytes paired with their content address. The only constructors
+/// hash the bytes or verify them against a claimed address, so a holder
+/// knows the pair matches without hashing again: the store's commit walk
+/// takes these and never re-hashes.
+#[derive(Clone, Copy, Debug)]
+pub struct HashedChunk<'a> {
+    hash: ChunkHash,
+    bytes: &'a [u8],
+}
+
+impl<'a> HashedChunk<'a> {
+    /// Hash `bytes` into their content address.
+    pub fn of(bytes: &'a [u8]) -> Self {
+        HashedChunk { hash: ChunkHash::of(bytes), bytes }
+    }
+
+    /// Accept `bytes` (read from the wire or from storage) only if they
+    /// hash to `claimed`.
+    pub fn verify(claimed: ChunkHash, bytes: &'a [u8]) -> Option<Self> {
+        let chunk = Self::of(bytes);
+        (chunk.hash == claimed).then_some(chunk)
+    }
+
+    /// The content address.
+    pub fn hash(&self) -> ChunkHash {
+        self.hash
+    }
+
+    /// The chunk bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+/// One manifest occurrence in a commit: bytes in hand, or an address the
+/// store must already hold.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ChunkRef<'a> {
+    /// Hashed or verified bytes: inserted if new, byte-compared on a hit.
+    Body(HashedChunk<'a>),
+    /// Address only (a partner adopting content it was not sent).
+    Adopt(ChunkHash),
+}
+
+impl ChunkRef<'_> {
+    /// The content address this occurrence references.
+    fn hash(&self) -> ChunkHash {
+        match self {
+            ChunkRef::Body(c) => c.hash(),
+            ChunkRef::Adopt(h) => *h,
+        }
     }
 }
 
@@ -283,26 +461,19 @@ impl CasStore {
         false
     }
 
-    /// Incref/insert one manifest occurrence, validating as it goes.
+    /// Incref/insert one manifest occurrence, byte-confirming a hash hit.
     /// Returns the chunk's fate and byte count, or an error message.
     fn take_ref(
         &self,
         index: usize,
-        hash: &ChunkHash,
-        bytes: Option<&[u8]>,
+        chunk: ChunkRef<'_>,
         owner_key: (u32, u32),
     ) -> Result<(ChunkFate, u64), String> {
-        if let Some(b) = bytes {
-            if ChunkHash::of(b) != *hash {
-                return Err(format!(
-                    "cas: chunk {index} bytes do not match their claimed hash {hash:?}"
-                ));
-            }
-        }
-        let mut shard = self.chunk_shard(hash).write().unwrap();
-        if let Some(e) = shard.get_mut(hash) {
-            if let Some(b) = bytes {
-                if b != e.bytes.as_slice() {
+        let hash = chunk.hash();
+        let mut shard = self.chunk_shard(&hash).write().unwrap();
+        if let Some(e) = shard.get_mut(&hash) {
+            if let ChunkRef::Body(c) = chunk {
+                if c.bytes() != e.bytes.as_slice() {
                     return Err(format!(
                         "cas: chunk {index} content mismatch on hash hit {hash:?} \
                          (corruption or hash collision)"
@@ -318,32 +489,30 @@ impl CasStore {
             };
             Ok((fate, len))
         } else {
-            let Some(b) = bytes else {
+            let ChunkRef::Body(c) = chunk else {
                 return Err(format!(
                     "cas: chunk {index} {hash:?} has no bytes and is not in the store"
                 ));
             };
-            shard.insert(*hash, Entry { bytes: b.to_vec(), refs: 1, first_owner: owner_key });
-            Ok((ChunkFate::New, b.len() as u64))
+            let bytes = c.bytes().to_vec();
+            let len = bytes.len() as u64;
+            shard.insert(hash, Entry { bytes, refs: 1, first_owner: owner_key });
+            Ok((ChunkFate::New, len))
         }
     }
 
     /// Insert a manifest's chunks and register the reference list under
-    /// `(job, holder, owner, epoch)`. Every reference is taken *before* the
-    /// registration swap, so the chunks are pinned (refs ≥ 1, owned by this
-    /// in-flight commit) throughout — a concurrent GC can never free them
-    /// in the window between insert and register.
+    /// `(job, holder, owner, epoch)`. Each element pairs a chunk hash with
+    /// its bytes (`Some` when the caller has them) or `None` (a partner
+    /// adopting a manifest whose body the store must already hold,
+    /// possibly via an earlier `Some` in this same list).
     ///
-    /// Each element pairs a chunk hash with its bytes (`Some` when the
-    /// caller has them — always, on the local commit path) or `None` (a
-    /// partner adopting a manifest whose body the store must already hold,
-    /// possibly via an earlier `Some` in this same list). Re-registering an
-    /// existing key replaces it: new references are taken before old ones
-    /// are released, so shared chunks never transit refcount zero.
+    /// Every `Some` is verified against its hash before the store is
+    /// touched; the verified list then takes the same incref walk as the
+    /// service's own commits.
     ///
-    /// Errors (store rolled back to its prior state): missing bytes for an
-    /// unknown hash, bytes that do not hash to their claimed address, or a
-    /// byte mismatch against stored content (corruption or hash collision).
+    /// Errors (store left in its prior state): bytes that do not hash to
+    /// their claimed address, plus every error of `commit_chunks`.
     pub fn commit_insert(
         &self,
         job: u32,
@@ -352,11 +521,44 @@ impl CasStore {
         epoch: u64,
         manifest: &[(ChunkHash, Option<&[u8]>)],
     ) -> Result<CommitStats, String> {
+        let chunks = manifest
+            .iter()
+            .enumerate()
+            .map(|(i, (hash, bytes))| match bytes {
+                None => Ok(ChunkRef::Adopt(*hash)),
+                Some(b) => HashedChunk::verify(*hash, b).map(ChunkRef::Body).ok_or_else(|| {
+                    format!("cas: chunk {i} bytes do not match their claimed hash {hash:?}")
+                }),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        self.commit_chunks(job, holder, owner, epoch, chunks)
+    }
+
+    /// Insert already-hashed chunks and register the reference list under
+    /// `(job, holder, owner, epoch)`. Every reference is taken *before* the
+    /// registration swap, so the chunks are pinned (refs ≥ 1, owned by this
+    /// in-flight commit) throughout — a concurrent GC can never free them
+    /// in the window between insert and register. Re-registering an
+    /// existing key replaces it: new references are taken before old ones
+    /// are released, so shared chunks never transit refcount zero.
+    ///
+    /// Errors (store rolled back to its prior state): an address with no
+    /// bytes that the store does not hold, or bytes that differ from the
+    /// stored content on a hash hit (corruption or hash collision).
+    pub(crate) fn commit_chunks<'a>(
+        &self,
+        job: u32,
+        holder: u32,
+        owner: u32,
+        epoch: u64,
+        chunks: impl IntoIterator<Item = ChunkRef<'a>>,
+    ) -> Result<CommitStats, String> {
         let owner_key = (job, owner);
         let mut stats = CommitStats::default();
-        let mut hashes = Vec::with_capacity(manifest.len());
-        for (i, (hash, bytes)) in manifest.iter().enumerate() {
-            match self.take_ref(i, hash, *bytes, owner_key) {
+        let chunks = chunks.into_iter();
+        let mut hashes = Vec::with_capacity(chunks.size_hint().0);
+        for (i, chunk) in chunks.enumerate() {
+            match self.take_ref(i, chunk, owner_key) {
                 Ok((fate, len)) => {
                     match fate {
                         ChunkFate::New => stats.new_bytes += len,
@@ -370,7 +572,7 @@ impl CasStore {
                         }
                     }
                     stats.fates.push(fate);
-                    hashes.push(*hash);
+                    hashes.push(chunk.hash());
                 }
                 Err(e) => {
                     // Roll back every reference this walk took (removing
@@ -512,16 +714,58 @@ mod tests {
             hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
-        // 55/56/64-byte inputs straddle the padding block boundary.
-        for len in [55usize, 56, 63, 64, 65] {
-            let data = vec![0x61u8; len];
-            // Reference: incremental == one-shot (padding self-consistency).
-            assert_eq!(sha256(&data), sha256(&data.clone()));
-        }
         assert_eq!(
             hex(&sha256(&vec![b'a'; 1_000_000])),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// Deterministic test bytes (splitmix64).
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    /// Digest on the SHA extensions, or `None` when the CPU lacks them.
+    fn hardware_sha256(data: &[u8]) -> Option<[u8; 32]> {
+        #[cfg(target_arch = "x86_64")]
+        if shani::detected() {
+            // SAFETY: `shani::detected` confirmed the CPU supports every
+            // feature `shani::compress_blocks` is compiled for.
+            return Some(sha256_with(data, |s, b| unsafe { shani::compress_blocks(s, b) }));
+        }
+        let _ = data;
+        None
+    }
+
+    /// The hardware and portable compressors agree on every length across
+    /// the padding and multi-block boundaries and on large buffers, and the
+    /// dispatching `sha256` matches both.
+    #[test]
+    fn hardware_and_portable_sha256_agree() {
+        let inputs = (0..=320usize)
+            .map(|len| seeded_bytes(len as u64, len))
+            .chain((1..=3u64).map(|seed| seeded_bytes(seed << 32, 1 << 20)));
+        let mut hardware_checked = 0;
+        for data in inputs {
+            let portable = sha256_with(&data, compress_blocks_portable);
+            assert_eq!(sha256(&data), portable, "dispatch, {} bytes", data.len());
+            if let Some(hw) = hardware_sha256(&data) {
+                assert_eq!(hex(&hw), hex(&portable), "hardware vs portable, {} bytes", data.len());
+                hardware_checked += 1;
+            }
+        }
+        if hardware_checked == 0 {
+            eprintln!("note: CPU lacks the SHA extensions; hardware SHA-256 not exercised");
+        }
     }
 
     fn m(pairs: &[&[u8]]) -> Vec<(ChunkHash, Option<Vec<u8>>)> {

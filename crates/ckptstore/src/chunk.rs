@@ -44,7 +44,7 @@
 //! retained set so in-flight manifests are visible to it.
 
 use crate::blob::{seal, unseal};
-use crate::cas::ChunkHash;
+use crate::cas::{ChunkHash, HashedChunk};
 use crate::crc::crc32;
 use mini_mpi::error::{MpiError, Result};
 use mini_mpi::hash::FxHasher;
@@ -371,21 +371,17 @@ impl<'a> CasView<'a> {
         self.chunks.iter().map(|(h, _)| *h).collect()
     }
 
-    /// The inline payload of chunk `idx`, hash-verified, if this blob
-    /// carries it.
-    pub fn inline_chunk(&self, idx: usize) -> Result<Option<&'a [u8]>> {
+    /// The inline payload of chunk `idx`, verified against its manifest
+    /// address, if this blob carries it.
+    pub fn inline_chunk(&self, idx: usize) -> Result<Option<HashedChunk<'a>>> {
         let Ok(pos) = self.inline_idx.binary_search(&(idx as u32)) else {
             return Ok(None);
         };
         let off: usize = self.inline_idx[..pos].iter().map(|&i| self.chunks[i as usize].1).sum();
         let (hash, len) = self.chunks[idx];
-        let bytes = &self.payload[off..off + len];
-        if ChunkHash::of(bytes) != hash {
-            return Err(MpiError::Codec(format!(
-                "cas inline chunk {idx} does not hash to its manifest address"
-            )));
-        }
-        Ok(Some(bytes))
+        HashedChunk::verify(hash, &self.payload[off..off + len]).map(Some).ok_or_else(|| {
+            MpiError::Codec(format!("cas inline chunk {idx} does not hash to its manifest address"))
+        })
     }
 
     /// Materialize the body: inline payloads (hash-verified) where present,
@@ -397,7 +393,7 @@ impl<'a> CasView<'a> {
         let mut out = Vec::with_capacity(self.total_len);
         for (idx, &(hash, len)) in self.chunks.iter().enumerate() {
             match self.inline_chunk(idx)? {
-                Some(bytes) => out.extend_from_slice(bytes),
+                Some(chunk) => out.extend_from_slice(chunk.bytes()),
                 None => {
                     let bytes = lookup(&hash).ok_or_else(|| {
                         MpiError::Codec(format!(
@@ -911,8 +907,8 @@ mod tests {
         let view = CasView::parse(&blob).unwrap();
         assert_eq!(view.n_chunks(), 3);
         assert_eq!(view.total_len, 300 + 512 + 40);
-        assert_eq!(view.inline_chunk(0).unwrap(), Some(&c0[..]));
-        assert_eq!(view.inline_chunk(1).unwrap(), None);
+        assert_eq!(view.inline_chunk(0).unwrap().map(|c| c.bytes()), Some(&c0[..]));
+        assert!(view.inline_chunk(1).unwrap().is_none());
         assert_eq!(view.hashes()[1], ChunkHash::of(&c1));
         // Materialize with the store serving the non-inline chunk.
         let mut lookup = |h: &ChunkHash| (*h == ChunkHash::of(&c1)).then(|| c1.clone());

@@ -31,7 +31,7 @@
 //! by a retained manifest survive until the last manifest naming them goes.
 
 use crate::backend::{CheckpointBackend, DirBackend, MemBackend};
-use crate::cas::{CasStore, ChunkFate, ChunkHash};
+use crate::cas::{CasStore, ChunkFate, ChunkRef, HashedChunk};
 use crate::cdc::{chunk_spans, CdcParams};
 use crate::chunk::{
     self, seal_v4, CasView, DeltaEncoder, EncodeStats, V4Chunk, DEFAULT_CHUNK_SIZE,
@@ -378,23 +378,27 @@ impl CkptStoreService {
         body: &[u8],
     ) -> Result<(Vec<u8>, EncodeStats)> {
         let spans = chunk_spans(body, self.cfg.cdc_params);
-        let hashed: Vec<(ChunkHash, &[u8])> =
-            spans.iter().map(|s| (ChunkHash::of(&body[s.clone()]), &body[s.clone()])).collect();
-        let manifest: Vec<(ChunkHash, Option<&[u8]>)> =
-            hashed.iter().map(|(h, b)| (*h, Some(*b))).collect();
+        let chunks: Vec<HashedChunk<'_>> =
+            spans.into_iter().map(|s| HashedChunk::of(&body[s])).collect();
         // Insert + register atomically: re-commits of the same epoch after
         // a rollback replace the old registration without a refcount dip.
         let cas_stats = self
             .cas()
-            .commit_insert(self.job, rank.0, rank.0, epoch, &manifest)
+            .commit_chunks(
+                self.job,
+                rank.0,
+                rank.0,
+                epoch,
+                chunks.iter().map(|&c| ChunkRef::Body(c)),
+            )
             .map_err(MpiError::Codec)?;
-        let parts: Vec<V4Chunk<'_>> = hashed
+        let parts: Vec<V4Chunk<'_>> = chunks
             .iter()
             .zip(&cas_stats.fates)
-            .map(|((h, b), fate)| V4Chunk {
-                hash: *h,
-                len: b.len() as u32,
-                inline: (*fate == ChunkFate::New).then_some(*b),
+            .map(|(c, fate)| V4Chunk {
+                hash: c.hash(),
+                len: c.bytes().len() as u32,
+                inline: (*fate == ChunkFate::New).then_some(c.bytes()),
             })
             .collect();
         let inline_chunks = parts.iter().filter(|p| p.inline.is_some()).count();
@@ -442,7 +446,7 @@ impl CkptStoreService {
             }
             let (hash, _) = view.chunk(idx).expect("idx in range");
             let bytes = match view.inline_chunk(idx)? {
-                Some(b) => b.to_vec(),
+                Some(c) => c.bytes().to_vec(),
                 None => self.cas().get(&hash).ok_or_else(|| {
                     MpiError::Codec(format!(
                         "requested chunk {idx} ({hash:?}) is neither inline nor stored"
@@ -514,13 +518,14 @@ impl CkptStoreService {
             // everything else must already be held (the owner pushed hashes
             // first and served whatever we reported missing).
             let view = CasView::parse(blob)?;
-            let mut manifest: Vec<(ChunkHash, Option<&[u8]>)> = Vec::with_capacity(view.n_chunks());
-            for idx in 0..view.n_chunks() {
-                let (hash, _) = view.chunk(idx).expect("idx in range");
-                manifest.push((hash, view.inline_chunk(idx)?));
-            }
+            let chunks = (0..view.n_chunks())
+                .map(|idx| {
+                    let (hash, _) = view.chunk(idx).expect("idx in range");
+                    Ok(view.inline_chunk(idx)?.map_or(ChunkRef::Adopt(hash), ChunkRef::Body))
+                })
+                .collect::<Result<Vec<_>>>()?;
             self.cas()
-                .commit_insert(self.job, holder.0, owner.0, epoch, &manifest)
+                .commit_chunks(self.job, holder.0, owner.0, epoch, chunks)
                 .map_err(MpiError::Codec)?;
         }
         partner.put(owner, epoch, blob)?;
@@ -989,6 +994,7 @@ impl CkptStoreService {
 mod tests {
     use super::*;
     use crate::blob::seal;
+    use crate::cas::ChunkHash;
     use std::fs;
     use std::path::PathBuf;
 
@@ -1489,6 +1495,39 @@ mod tests {
         partner_svc.store_partner_copy(RankId(1), RankId(0), 1, &subset).unwrap();
         let (got, _) = partner_svc.load(RankId(0), 1).unwrap().unwrap();
         assert_eq!(got, body);
+    }
+
+    /// A V4 partner copy whose inline bytes do not hash to their manifest
+    /// address (with a valid CRC, so only the hash check can catch it) is
+    /// rejected before the store is touched: nothing is inserted, not even
+    /// the valid new chunk ahead of the bad one, and no copy is kept.
+    #[test]
+    fn cdc_partner_copy_with_tampered_inline_bytes_is_rejected() {
+        let svc = CkptStoreService::in_memory(2, cdc_cfg());
+        commit_wave(&svc, RankId(0), RankId(1), 1, &cdc_body(79, 1, 2 * 1024, 256));
+        let (bytes_before, chunks_before) = (svc.cas().unique_bytes(), svc.cas().unique_chunks());
+        let fresh = b"valid chunk the store has never seen".to_vec();
+        let claimed = b"the bytes the manifest promises....".to_vec();
+        let mut tampered = claimed.clone();
+        tampered[0] ^= 1;
+        let blob = seal_v4(&[
+            V4Chunk { hash: ChunkHash::of(&fresh), len: fresh.len() as u32, inline: Some(&fresh) },
+            V4Chunk {
+                hash: ChunkHash::of(&claimed),
+                len: claimed.len() as u32,
+                inline: Some(&tampered),
+            },
+        ]);
+        CasView::parse(&blob).expect("the CRC is valid; only the chunk hash is wrong");
+        let err = svc.store_partner_copy(RankId(1), RankId(0), 2, &blob).unwrap_err();
+        assert!(format!("{err}").contains("does not hash"), "{err}");
+        assert_eq!(svc.cas().unique_bytes(), bytes_before);
+        assert_eq!(svc.cas().unique_chunks(), chunks_before);
+        assert!(!svc.cas().contains(&ChunkHash::of(&fresh)));
+        assert!(!svc.cas().contains(&ChunkHash::of(&claimed)));
+        assert!(!svc.cas().contains(&ChunkHash::of(&tampered)));
+        let partner = &svc.stores(RankId(1)).unwrap().partner;
+        assert_eq!(partner.epochs_of(RankId(0)).unwrap(), vec![1], "no copy kept for epoch 2");
     }
 
     #[test]
